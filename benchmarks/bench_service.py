@@ -6,6 +6,18 @@ ingest/query workload — the end-to-end path a production deployment
 would exercise.  Asserts the acceptance bar (zero failed requests,
 nonzero cache hit rate) and attaches the throughput/latency summary.
 
+The mixed workload runs twice: over persistent keep-alive connections
+(one per client thread, how clients normally talk to the service) and
+with a new connection per request.  A third, one-client keep-alive run
+of queries alone is gated: its query p50 must stay within 2x the
+in-process ``ServiceEngine.query`` p50 on the same points plus a fixed
+loopback allowance, which a per-request TCP stall (Nagle's algorithm
+against delayed ACK, ~40 ms) cannot meet.  (The 4-worker runs are not
+gated: client and server share one interpreter here, so their p50 is
+mostly queueing for its lock.)  The artifact records all three modes, a
+``host`` block and the ``gates`` list; a missed gate exits non-zero
+without writing it.
+
 A second scenario deliberately overloads a bounded server: an ingest
 burst at 2x saturation (queue capacity + in-flight slots) while query
 traffic keeps flowing.  The acceptance bar there is the overload
@@ -25,15 +37,31 @@ or standalone, writing ``BENCH_service.json``:
 from __future__ import annotations
 
 import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from repro.service.engine import ServiceEngine
-from repro.service.loadgen import LoadgenConfig, run_loadgen
+from repro.service.loadgen import LoadgenConfig, query_points, run_loadgen
 from repro.service.server import create_server
 from repro.testing.chaos import run_overload_burst
+
+
+#: Loopback allowance of the keep-alive gate: what the kernel's
+#: loopback round trip, HTTP parsing and JSON coding on both ends may add
+#: over the engine call (one-client p50 measured 0.66-0.87 ms on a
+#: 2-core host).
+LOOPBACK_ALLOWANCE_MS = 2.0
+#: In-process ``ServiceEngine.query`` calls timed per pool point.
+IN_PROCESS_REPEATS = 50
 
 
 def run_service_workload(
@@ -42,8 +70,14 @@ def run_service_workload(
     ingests: int = 2,
     seed_clips: int = 3,
     seed: int = 42,
+    keepalive: bool = True,
 ) -> dict[str, Any]:
-    """One full serve + loadgen round trip; returns the loadgen report."""
+    """One full serve + loadgen round trip; returns the loadgen report.
+
+    The report gains ``in_process_query_p50_ms``: the median of
+    ``ServiceEngine.query`` called directly on the loadgen's own query
+    points after the run, the floor the HTTP answer is gated against.
+    """
     engine = ServiceEngine(n_workers=2, cache_capacity=256)
     try:
         for k in range(seed_clips):
@@ -61,20 +95,26 @@ def run_service_workload(
         host, port = server.server_address[:2]
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
+        config = LoadgenConfig(
+            base_url=f"http://{host}:{port}",
+            n_requests=n_requests,
+            workers=workers,
+            ingests=ingests,
+            seed=seed,
+            keepalive=keepalive,
+        )
         try:
-            report = run_loadgen(
-                LoadgenConfig(
-                    base_url=f"http://{host}:{port}",
-                    n_requests=n_requests,
-                    workers=workers,
-                    ingests=ingests,
-                    seed=seed,
-                )
-            )
+            report = run_loadgen(config)
         finally:
             server.shutdown()
             server.server_close()
             thread.join(timeout=10)
+        timings = []
+        for var_ba, var_oa in query_points(config) * IN_PROCESS_REPEATS:
+            started = time.perf_counter()
+            engine.query(var_ba=var_ba, var_oa=var_oa, limit=5)
+            timings.append(time.perf_counter() - started)
+        report["in_process_query_p50_ms"] = round(statistics.median(timings) * 1e3, 4)
     finally:
         engine.shutdown()
     return report
@@ -222,14 +262,93 @@ def bench_service_overload(benchmark):
     benchmark.extra_info["queue_depth_peak"] = report["queue_depth_peak"]
 
 
+def host_info() -> dict[str, Any]:
+    """Provenance of a run: commit (``-dirty`` with uncommitted
+    changes), cores, interpreter and numpy."""
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {
+        "git_sha": sha,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def connection_summary(report: dict[str, Any]) -> dict[str, Any]:
+    """Query p50/p99 and throughput of one loadgen run."""
+    query = report["operations"]["query"]
+    return {
+        "query_count": query["count"],
+        "query_p50_ms": query["p50_ms"],
+        "query_p99_ms": query["p99_ms"],
+        "throughput_rps": report["throughput_rps"],
+    }
+
+
+def keepalive_gate(keepalive_p50_ms: float, in_process_p50_ms: float) -> dict[str, Any]:
+    """Keep-alive query p50 <= 2x in-process p50 + the loopback allowance."""
+    bar = 2.0 * in_process_p50_ms + LOOPBACK_ALLOWANCE_MS
+    return {
+        "name": "keepalive_one_client_query_p50_ms",
+        "bar": round(bar, 4),
+        "measured": keepalive_p50_ms,
+        "pass": keepalive_p50_ms <= bar,
+    }
+
+
 def main() -> None:
     mixed = run_service_workload()
     _check(mixed)
+    fresh = run_service_workload(keepalive=False)
+    _check(fresh)
+    one_client = run_service_workload(n_requests=200, workers=1, ingests=0)
+    assert one_client["failed_requests"] == 0, one_client
+    connections = {
+        "keepalive": connection_summary(mixed),
+        "new_connection": connection_summary(fresh),
+        "keepalive_one_client": connection_summary(one_client),
+    }
+    in_process_p50_ms = one_client["in_process_query_p50_ms"]
+    gates = [
+        keepalive_gate(
+            connections["keepalive_one_client"]["query_p50_ms"], in_process_p50_ms
+        )
+    ]
     overload = run_overload_scenario()
     _check_overload(overload)
-    report = {"mixed_workload": mixed, "overload": overload}
+    report = {
+        "host": host_info(),
+        "gates": gates,
+        "connections": dict(connections, in_process_query_p50_ms=in_process_p50_ms),
+        "mixed_workload": mixed,
+        "new_connection_workload": fresh,
+        "overload": overload,
+    }
+    missed = [gate for gate in gates if not gate["pass"]]
+    if missed:
+        print(json.dumps(report, indent=2), file=sys.stderr)
+        raise SystemExit(f"bench_service: gate missed, artifact not written: {missed}")
     out = Path(__file__).resolve().parent.parent / "BENCH_service.json"
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    for mode, stats in connections.items():
+        print(
+            f"{mode}: query p50 {stats['query_p50_ms']}ms "
+            f"p99 {stats['query_p99_ms']}ms over {stats['query_count']} queries, "
+            f"{stats['throughput_rps']} req/s"
+        )
+    print(
+        f"gate {gates[0]['name']}: {gates[0]['measured']}ms <= {gates[0]['bar']}ms "
+        f"(in-process p50 {in_process_p50_ms}ms)"
+    )
     print(
         f"mixed: {mixed['total_requests']} requests, "
         f"{mixed['throughput_rps']} req/s, "

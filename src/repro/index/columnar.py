@@ -117,6 +117,24 @@ def _checked_int32(value: int, what: str) -> int:
     return value
 
 
+def _compact_codes(codes: np.ndarray, table_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber table codes densely, in order of first appearance.
+
+    Returns ``(used, remapped)``: the distinct codes ``>= 0`` of
+    ``codes`` in the order they first occur, and ``codes`` rewritten to
+    positions in ``used`` as a little-endian int32 column (``-1``, "no
+    entry", stays ``-1``).
+    """
+    present = codes >= 0
+    distinct, first = np.unique(codes[present], return_index=True)
+    used = distinct[np.argsort(first, kind="stable")]
+    lookup = np.full(table_size, -1, dtype="<i4")
+    lookup[used] = np.arange(used.size, dtype="<i4")
+    remapped = np.full(codes.shape, -1, dtype="<i4")
+    remapped[present] = lookup[codes[present]]
+    return used, remapped
+
+
 class ColumnarVarianceIndex:
     """Parallel numpy columns sorted by ``D^v``.
 
@@ -749,29 +767,13 @@ class ColumnarVarianceIndex:
         # Compact the tables: only codes the columns reference, coded
         # by first appearance, so litter from removed videos does not
         # leak into the file.
-        vid_map: dict[int, int] = {}
-        videos: list[str] = []
-        for code in self._vid:
-            code = int(code)
-            if code not in vid_map:
-                vid_map[code] = len(videos)
-                videos.append(self._video_ids[code])
-        arch_map: dict[int, int] = {-1: -1}
-        archetypes: list[str] = []
-        for code in self._arch:
-            code = int(code)
-            if code not in arch_map:
-                arch_map[code] = len(archetypes)
-                archetypes.append(self._archetypes[code])
+        used_vids, vid_col = _compact_codes(self._vid, len(self._video_ids))
+        used_archs, arch_col = _compact_codes(self._arch, len(self._archetypes))
+        videos = [self._video_ids[code] for code in used_vids]
+        archetypes = [self._archetypes[code] for code in used_archs]
         tables = json.dumps(
             {"videos": videos, "archetypes": archetypes}
         ).encode("utf-8")
-        vid_col = np.array(
-            [vid_map[int(c)] for c in self._vid], dtype="<i4"
-        )
-        arch_col = np.array(
-            [arch_map[int(c)] for c in self._arch], dtype="<i4"
-        )
         parts = [
             _HEADER.pack(
                 COLUMNAR_MAGIC,

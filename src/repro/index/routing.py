@@ -9,7 +9,7 @@ The user then browses downward from those nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..scenetree.nodes import SceneNode, SceneTree
 from .table import IndexEntry
@@ -17,9 +17,13 @@ from .table import IndexEntry
 __all__ = ["SceneRoute", "route_to_scene_nodes"]
 
 
-@dataclass(frozen=True, slots=True)
-class SceneRoute:
+class SceneRoute(NamedTuple):
     """A suggested browsing entry point for one matching shot.
+
+    Immutable; a named tuple rather than a frozen dataclass because one
+    is built per query match, and a frozen dataclass's ``__init__``
+    (``object.__setattr__`` per field) cost more than the routing
+    lookup itself.
 
     Attributes:
         entry: the matching index entry.
@@ -57,11 +61,9 @@ def route_to_scene_nodes(
     for entry in matches:
         tree = trees.get(entry.video_id)
         node: SceneNode | None = None
-        if tree is not None and 0 <= entry.shot_number - 1 < tree.n_shots:
-            leaf = tree.node_for_shot(entry.shot_number - 1)
-            if leaf.representative_frame is not None:
-                node = tree.largest_scene_with_representative(
-                    leaf.representative_frame
-                )
-        routes.append(SceneRoute(entry=entry, node=node))
+        if tree is not None and 1 <= entry.shot_number <= tree.n_shots:
+            frame = tree.leaves[entry.shot_number - 1].representative_frame
+            if frame is not None:
+                node = tree.largest_scene_with_representative(frame)
+        routes.append(SceneRoute(entry, node))
     return routes

@@ -136,24 +136,32 @@ def longest_match_run(
         a_cmp = np.asarray(a, dtype=np.float64)
         b_cmp = np.asarray(b, dtype=np.float64)
     n_shifts = hi - lo + 1
+    # Pixels match when *every* channel differs by less than the
+    # threshold: tested one channel at a time and AND-ed, which is the
+    # same predicate as thresholding the per-pixel maximum difference
+    # but avoids numpy's slow reduction over a length-3 axis (~14x on
+    # 509-pixel signatures).
+    channels = range(a_cmp.shape[1])
     # band[i, k] == match[i, i + lo + k]: column k is the diagonal at
     # shift lo + k, padded with False where it leaves the matrix.
     if n_shifts < lb:
         # Narrow band (max_shift and/or min_run pruned most diagonals):
         # gather just the needed pixels of b per (row, shift).
         j = np.arange(la)[:, None] + np.arange(lo, hi + 1)[None, :]
-        valid = (j >= 0) & (j < lb)
-        gathered = b_cmp[np.clip(j, 0, lb - 1)]
-        diff = np.abs(a_cmp[:, None, :] - gathered).max(axis=-1)
-        band = (diff < threshold) & valid
+        band = (j >= 0) & (j < lb)
+        j = np.clip(j, 0, lb - 1)
+        for c in channels:
+            band &= np.abs(a_cmp[:, c, None] - b_cmp[j, c]) < threshold
     else:
         # Wide band: one full match matrix is cheaper than gathering
-        # (almost) every entry three channels at a time.  lo <= 0 here:
-        # the min_run prune guarantees lo <= need - la <= 0 and
-        # max_shift only ever raises lo toward 0.
-        diff = np.abs(a_cmp[:, None, :] - b_cmp[None, :, :]).max(axis=-1)
+        # (almost) every entry.  lo <= 0 here: the min_run prune
+        # guarantees lo <= need - la <= 0 and max_shift only ever
+        # raises lo toward 0.
+        match = np.ones((la, lb), dtype=bool)
+        for c in channels:
+            match &= np.abs(a_cmp[:, c, None] - b_cmp[None, :, c]) < threshold
         padded = np.zeros((la, n_shifts + la - 1), dtype=bool)
-        padded[:, -lo : -lo + lb] = diff < threshold
+        padded[:, -lo : -lo + lb] = match
         stride_i, stride_k = padded.strides
         band = np.lib.stride_tricks.as_strided(
             padded, shape=(la, n_shifts), strides=(stride_i + stride_k, stride_k)

@@ -119,6 +119,9 @@ class SceneTree:
         self.root = root
         self.leaves = leaves
         self.clip_name = clip_name
+        # representative frame -> largest node carrying it; built on
+        # first use (see largest_scene_with_representative).
+        self._largest_by_frame: dict[int, SceneNode] | None = None
 
     # ------------------------------------------------------------------
     # queries
@@ -161,13 +164,26 @@ class SceneTree:
 
         Sec. 4.2: "the system can return the largest scenes that share
         the same representative frame with one of the matching shots".
+        At equal level the first node in pre-order wins.
+
+        Answered from a frame -> node map built by one pre-order walk on
+        the first call, so routing a query match costs a dict lookup
+        rather than a walk of the whole tree.  Trees are not mutated
+        once built (the builder finishes rewriting representative
+        frames before it returns the tree), so the map never goes stale;
+        readers racing on the first call build identical maps.
         """
-        best: SceneNode | None = None
-        for node in self.nodes():
-            if node.representative_frame == frame_index:
+        if self._largest_by_frame is None:
+            largest: dict[int, SceneNode] = {}
+            for node in self.root.iter_subtree():
+                frame = node.representative_frame
+                if frame is None:
+                    continue
+                best = largest.get(frame)
                 if best is None or node.level > best.level:
-                    best = node
-        return best
+                    largest[frame] = node
+            self._largest_by_frame = largest
+        return self._largest_by_frame.get(frame_index)
 
     def validate(self) -> None:
         """Check structural invariants; raises :class:`SceneTreeError`.

@@ -6,26 +6,28 @@ real users revisit the same impressions — which is what makes the
 result cache earn its keep), interleaved with catalog/browse reads and
 a few ingest jobs submitted mid-run and polled to completion.
 
-Stdlib-only (``urllib.request`` + threads).  The report carries
-per-operation latency percentiles, aggregate throughput, and the
-server's own ``/metrics`` snapshot so a single run substantiates the
-cache hit rate and histogram claims end-to-end.
+Stdlib-only (``http.client`` + threads).  Each client thread holds one
+persistent HTTP/1.1 keep-alive connection, the way real clients talk to
+the service, and reconnects after a transport error; with
+``keepalive=False`` every request opens a fresh connection instead.
+The report carries per-operation latency percentiles, aggregate
+throughput, and the server's own ``/metrics`` snapshot so a single run
+substantiates the cache hit rate and histogram claims end-to-end.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import random
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
-from urllib.parse import quote
+from urllib.parse import quote, urlsplit
 from typing import Any
 
-__all__ = ["LoadgenConfig", "run_loadgen"]
+__all__ = ["LoadgenConfig", "query_points", "run_loadgen"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,6 +59,9 @@ class LoadgenConfig:
             served around the dead shard), and the shard is revived
             when the run ends.
         kill_at_s: seconds after the run starts to kill the shard.
+        keepalive: reuse one connection per client thread (the
+            default); False opens a new connection per request, to
+            measure connection set-up.
     """
 
     base_url: str
@@ -72,6 +77,7 @@ class LoadgenConfig:
     deadline_ms: float | None = None
     kill_shard: int | None = None
     kill_at_s: float = 1.0
+    keepalive: bool = True
 
     def __post_init__(self) -> None:
         if self.n_requests < 1 or self.workers < 1:
@@ -97,18 +103,32 @@ def _percentile(sorted_values: list[float], p: float) -> float:
 class _Client:
     """Thread-safe HTTP client collecting per-operation latencies.
 
-    Each sample records the HTTP status (0 for a transport failure),
-    so the report can tell deliberate load shedding (429/503, the
-    overload contract working) apart from genuine failures (5xx).
+    Each calling thread gets its own persistent connection (see the
+    module docstring); :meth:`close` closes them all.  Each sample
+    records the HTTP status (0 for a transport failure), so the report
+    can tell deliberate load shedding (429/503, the overload contract
+    working) apart from genuine failures (5xx).
     """
 
     def __init__(
-        self, base_url: str, timeout: float, deadline_ms: float | None = None
+        self,
+        base_url: str,
+        timeout: float,
+        deadline_ms: float | None = None,
+        keepalive: bool = True,
     ) -> None:
-        self.base_url = base_url.rstrip("/")
+        split = urlsplit(base_url)
+        if split.scheme != "http" or not split.hostname:
+            raise ValueError(f"base_url must be http://host[:port], got {base_url!r}")
+        self.host = split.hostname
+        self.port = split.port or 80
+        self.prefix = split.path.rstrip("/")
         self.timeout = timeout
         self.deadline_ms = deadline_ms
+        self.keepalive = keepalive
+        self._local = threading.local()
         self._lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []
         self.samples: list[tuple[str, float, int]] = []
         # Cluster degradation accounting (query answers only): partial
         # answers are missing a shard's data; failover answers are
@@ -131,6 +151,16 @@ class _Client:
             else:
                 self.failover_answers += 1
 
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection (opened lazily by ``http.client``)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+            self._local.conn = conn
+            with self._lock:
+                self._connections.append(conn)
+        return conn
+
     def request(
         self, op: str, method: str, path: str, body: dict[str, Any] | None = None
     ) -> dict[str, Any] | None:
@@ -139,40 +169,60 @@ class _Client:
         headers = {"Content-Type": "application/json"} if data else {}
         if self.deadline_ms is not None:
             headers["X-Deadline-Ms"] = f"{self.deadline_ms:g}"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, method=method, headers=headers
-        )
+        if not self.keepalive:
+            headers["Connection"] = "close"
+        conn = self._connection()
         started = time.perf_counter()
         payload: dict[str, Any] | None = None
         status = 0
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                status = response.status
-                payload = json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            status = exc.code
-        except (urllib.error.URLError, OSError, json.JSONDecodeError):
+            conn.request(method, self.prefix + path, body=data, headers=headers)
+            response = conn.getresponse()
+            raw = response.read()
+            status = response.status
+            if response.will_close:
+                conn.close()  # the next request reconnects
+            if 200 <= status < 300:
+                payload = json.loads(raw.decode("utf-8"))
+        except (http.client.HTTPException, OSError, ValueError):
+            # Transport failure or an unreadable answer: drop the
+            # connection so the next request starts on a fresh one.
             status = 0
+            conn.close()
         elapsed = time.perf_counter() - started
         with self._lock:
             self.samples.append((op, elapsed, status))
         return payload if 200 <= status < 300 else None
+
+    def close(self) -> None:
+        """Close every thread's connection."""
+        with self._lock:
+            connections, self._connections = self._connections, []
+        for conn in connections:
+            conn.close()
+
+
+def query_points(config: LoadgenConfig) -> list[tuple[float, float]]:
+    """The run's pool of ``(var_ba, var_oa)`` query points.
+
+    Every worker derives the same points from ``config.seed``, so
+    cross-worker repeats hit the cache too.  Half the pool probes the
+    low-variance corner (where near-static shots live, so matches are
+    nonempty), half sweeps the full range.
+    """
+    pool_rng = random.Random(config.seed)
+    return [
+        (round(pool_rng.uniform(0, high), 2), round(pool_rng.uniform(0, high), 2))
+        for k in range(config.query_pool)
+        for high in ((4.0,) if k % 2 == 0 else (400.0,))
+    ]
 
 
 def _worker(
     client: _Client, config: LoadgenConfig, worker_id: int, n_requests: int
 ) -> None:
     rng = random.Random(config.seed * 10_007 + worker_id)
-    # The shared query-point pool: every worker derives the same points
-    # from config.seed, so cross-worker repeats hit the cache too.
-    pool_rng = random.Random(config.seed)
-    # Half the pool probes the low-variance corner (where near-static
-    # shots live, so matches are nonempty), half sweeps the full range.
-    points = [
-        (round(pool_rng.uniform(0, high), 2), round(pool_rng.uniform(0, high), 2))
-        for k in range(config.query_pool)
-        for high in ((4.0,) if k % 2 == 0 else (400.0,))
-    ]
+    points = query_points(config)
     known_videos: list[str] = []
     for k in range(n_requests):
         if k % config.browse_every == 1:
@@ -250,7 +300,9 @@ def _drive_ingests(client: _Client, config: LoadgenConfig, failures: list[str]) 
 
 def run_loadgen(config: LoadgenConfig) -> dict[str, Any]:
     """Run the mixed workload and return the throughput/latency report."""
-    client = _Client(config.base_url, config.timeout, config.deadline_ms)
+    client = _Client(
+        config.base_url, config.timeout, config.deadline_ms, config.keepalive
+    )
     ingest_failures: list[str] = []
     share, leftover = divmod(config.n_requests, config.workers)
     threads = [
@@ -347,6 +399,7 @@ def run_loadgen(config: LoadgenConfig) -> dict[str, Any]:
             "deadline_ms": config.deadline_ms,
             "kill_shard": config.kill_shard,
             "kill_at_s": config.kill_at_s,
+            "keepalive": config.keepalive,
         },
         "total_requests": total,
         "failed_requests": failed,
@@ -362,6 +415,7 @@ def run_loadgen(config: LoadgenConfig) -> dict[str, Any]:
     if outage is not None:
         report["shard_outage"] = outage
     server_metrics = client.request("metrics", "GET", "/metrics")
+    client.close()
     if server_metrics is not None:
         report["server_metrics"] = server_metrics
     return report

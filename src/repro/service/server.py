@@ -99,6 +99,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every connection.  Our own responses leave in one
+    # write (see _send_json); this covers the stdlib's two-write paths
+    # too (send_error on a malformed request line, 414, 431, 501), so
+    # no response waits for the client's delayed ACK.
+    disable_nagle_algorithm = True
     # Announced in logs and metrics; quieted by default (the loadgen
     # would otherwise drown the terminal in access-log lines).
     verbose = False
@@ -125,8 +130,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._dispatch("POST")
 
     #: Route heads that are themselves observability surface; tracing
-    #: them would fill the ring buffer with scrapes of itself.
-    _UNTRACED_HEADS = frozenset({"health", "ready", "metrics", "debug"})
+    #: them would fill the ring buffer with scrapes of itself.  Job
+    #: status polls are not traced either: a client waiting on an ingest
+    #: polls every few milliseconds over keep-alive, which would evict
+    #: every query trace from the ring, and the span work would compete
+    #: with the ingest worker for the interpreter lock.
+    _UNTRACED_HEADS = frozenset({"health", "ready", "metrics", "debug", "jobs"})
 
     def _dispatch(self, method: str) -> None:
         started = time.perf_counter()
@@ -413,15 +422,32 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         payload: dict[str, Any],
         headers: dict[str, str] | None = None,
     ) -> None:
+        """Send one response as a single socket write.
+
+        The status line and headers are buffered by the stdlib
+        (``send_response``/``send_header``) and leave together with the
+        body in one ``sendall``.  Written separately, the body would go
+        out as a second small segment that Nagle's algorithm holds back
+        until the client ACKs the first — a delayed ACK, about 40 ms,
+        on every keep-alive request.
+        """
         body = json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        if self.close_connection:
+            # Tell the client this connection ends here (e.g. after a
+            # 413 whose unread body makes the stream unusable).
+            self.send_header("Connection", "close")
+        if self.request_version == "HTTP/0.9":
+            response = body  # a 0.9 response is the bare body
+        else:
+            response = b"".join(self._headers_buffer) + b"\r\n" + body
+            self._headers_buffer = []
         try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
+            self.wfile.write(response)
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
             pass  # client went away mid-response; nothing to salvage
 

@@ -14,7 +14,7 @@ directory via :meth:`save` / :meth:`load`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -28,7 +28,7 @@ from ..obs import current_trace as _current_trace, span as _span
 from ..scenetree.browse import BrowsingSession
 from ..scenetree.builder import SceneTreeBuilder
 from ..scenetree.nodes import SceneTree
-from ..sbd.detector import CameraTrackingDetector, DetectionResult
+from ..sbd.detector import CameraTrackingDetector, StageCounts
 from ..sbd.shots import Shot
 from ..scenetree.serialize import scene_tree_from_dict, scene_tree_to_dict
 from ..video.clip import VideoClip
@@ -43,13 +43,18 @@ __all__ = ["IngestReport", "QueryAnswer", "VideoDatabase", "VideoRecord"]
 
 @dataclass(frozen=True, slots=True)
 class IngestReport:
-    """What ingesting one clip produced."""
+    """What ingesting one clip produced.
+
+    ``stage_counts`` records how the three SBD stages shared the clip's
+    frame pairs.
+    """
 
     video_id: str
     n_frames: int
     n_shots: int
     tree_height: int
     indexed_entries: int
+    stage_counts: StageCounts = field(default_factory=StageCounts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,7 +106,11 @@ class VideoDatabase:
         self.catalog = Catalog()
         self.index = ColumnarVarianceIndex()
         self.trees: dict[str, SceneTree] = {}
-        self.detections: dict[str, DetectionResult] = {}
+        #: The :class:`IngestReport` of each video ingested by this
+        #: process (SBD stage counts for diagnostics; not persisted).
+        #: Per-frame features are not kept: they are only needed while
+        #: the pipeline runs, and :meth:`shots` reads the index.
+        self.detections: dict[str, IngestReport] = {}
         #: Videos dropped by a recovering load (see :meth:`load`).
         self.quarantined: list[str] = []
         #: Bound storage (see :meth:`open`): when set, every ingest and
@@ -188,7 +197,6 @@ class VideoDatabase:
         for entry in entries:
             self.index.insert(entry)
         self.trees[clip.name] = tree
-        self.detections[clip.name] = detection
         if self._storage is not None:
             # Durable mode: commit this ingest to disk via a manifest
             # swap before reporting success.  A failed publish leaves
@@ -202,15 +210,17 @@ class VideoDatabase:
                 self.catalog.remove(clip.name)
                 self.index.remove_video(clip.name)
                 self.trees.pop(clip.name, None)
-                self.detections.pop(clip.name, None)
                 raise
-        return IngestReport(
+        report = IngestReport(
             video_id=clip.name,
             n_frames=len(clip),
             n_shots=detection.n_shots,
             tree_height=tree.height,
             indexed_entries=len(entries),
+            stage_counts=detection.stage_counts,
         )
+        self.detections[clip.name] = report
+        return report
 
     # ------------------------------------------------------------------
     # queries
@@ -358,7 +368,7 @@ class VideoDatabase:
         )
 
     def remove(self, video_id: str) -> int:
-        """Drop a video: catalog entry, scene tree, detection cache,
+        """Drop a video: catalog entry, scene tree, ingest report,
         and every index entry.  Returns the number of index entries
         removed.
 
@@ -368,7 +378,6 @@ class VideoDatabase:
         """
         entry = self.catalog.remove(video_id)  # raises CatalogError when unknown
         tree = self.trees.pop(video_id, None)
-        detection = self.detections.pop(video_id, None)
         index_entries = self.index.entries_for(video_id)
         removed = self.index.remove_video(video_id)
         if self._storage is not None:
@@ -380,9 +389,8 @@ class VideoDatabase:
                     self.index.insert(index_entry)
                 if tree is not None:
                     self.trees[video_id] = tree
-                if detection is not None:
-                    self.detections[video_id] = detection
                 raise
+        self.detections.pop(video_id, None)
         return removed
 
     # ------------------------------------------------------------------
@@ -456,10 +464,19 @@ class VideoDatabase:
         return entry
 
     def shots(self, video_id: str) -> list[Shot]:
-        """The detected shots of one video."""
-        if video_id not in self.detections:
+        """The detected shots of one video, in temporal order.
+
+        Rebuilt from the video's index entries (one per shot, carrying
+        its frame range), so a reopened database answers exactly as the
+        one that ingested the video.
+        """
+        if video_id not in self.catalog:
             raise CatalogError(f"unknown video {video_id!r}")
-        return self.detections[video_id].shots
+        entries = sorted(self.index.entries_for(video_id), key=lambda e: e.shot_number)
+        return [
+            Shot(index=e.shot_number - 1, start=e.start_frame - 1, stop=e.end_frame)
+            for e in entries
+        ]
 
     def scene_tree(self, video_id: str) -> SceneTree:
         """The browsing hierarchy of one video."""
@@ -587,9 +604,9 @@ class VideoDatabase:
         is recorded in :attr:`quarantined`) and the rest of the
         database loads normally.
 
-        Detection results (raw per-frame features) are not persisted;
-        queries and browsing work immediately, while :meth:`shots`
-        requires re-ingesting the raw clip.
+        Raw per-frame features are not persisted (they are not kept in
+        memory either); queries, browsing and :meth:`shots` work
+        immediately.
         """
         storage = DatabaseStorage(root, fs=fs)
         db = cls(config=config)

@@ -1,5 +1,7 @@
 """Tests for repro.index (table, queries, sorted index, routing)."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,9 @@ from repro.index.routing import route_to_scene_nodes
 from repro.index.sorted_index import SortedVarianceIndex
 from repro.index.table import IndexEntry, IndexTable
 from repro.scenetree.builder import SceneTreeBuilder
+from repro.scenetree.nodes import SceneNode, SceneTree
+from repro.testing.golden import GOLDEN_SPECS, build_clip
+from repro.vdbms.database import VideoDatabase
 
 
 def _entry(video="v", number=1, var_ba=4.0, var_oa=1.0, archetype=None):
@@ -199,6 +204,112 @@ class TestRouting:
         routes = route_to_scene_nodes([_entry()], {})
         assert routes[0].node is None
         assert "<no scene tree>" in routes[0].suggestion
+
+
+def _scan_largest(tree, frame):
+    """Reference: walk the whole tree; highest level wins, then pre-order."""
+    best = None
+    for node in tree.nodes():
+        if node.representative_frame == frame and (best is None or node.level > best.level):
+            best = node
+    return best
+
+
+def _scan_route(entry, trees):
+    """Reference routing of one match through :func:`_scan_largest`."""
+    tree = trees.get(entry.video_id)
+    if tree is None or not 1 <= entry.shot_number <= tree.n_shots:
+        return None
+    frame = tree.leaves[entry.shot_number - 1].representative_frame
+    return None if frame is None else _scan_largest(tree, frame)
+
+
+@st.composite
+def _random_trees(draw):
+    """Random valid scene trees over few distinct representative frames,
+    so that shared frames and equal-level ties across branches abound."""
+    frames = st.one_of(st.none(), st.integers(0, 3))
+    n = draw(st.integers(1, 12))
+    ids = itertools.count(n)
+    leaves = [
+        SceneNode(node_id=k, shot_index=k, level=0, representative_frame=draw(frames))
+        for k in range(n)
+    ]
+    forest = list(leaves)
+    while len(forest) > 1:
+        start = draw(st.integers(0, len(forest) - 2))
+        stop = draw(st.integers(start + 2, len(forest)))
+        group = forest[start:stop]
+        parent = SceneNode(
+            node_id=next(ids),
+            shot_index=group[0].shot_index,
+            level=max(node.level for node in group) + draw(st.integers(1, 2)),
+            representative_frame=draw(frames),
+        )
+        for child in group:
+            child.attach_to(parent)
+        forest[start:stop] = [parent]
+    return SceneTree(root=forest[0], leaves=leaves, clip_name="random")
+
+
+class TestRoutingMatchesWholeTreeScan:
+    """The frame -> node map answers exactly as a scan of every node."""
+
+    @given(tree=_random_trees())
+    @settings(max_examples=200, deadline=None)
+    def test_largest_scene_property(self, tree):
+        for frame in range(5):
+            assert tree.largest_scene_with_representative(frame) is _scan_largest(
+                tree, frame
+            )
+
+    @given(tree=_random_trees(), numbers=st.lists(st.integers(0, 14), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_route_property(self, tree, numbers):
+        trees = {"random": tree}
+        matches = [_entry(video="random", number=k) for k in numbers]
+        matches.append(_entry(video="no-tree", number=1))
+        routes = route_to_scene_nodes(matches, trees)
+        assert [route.entry for route in routes] == matches
+        for route in routes:
+            assert route.node is _scan_route(route.entry, trees)
+
+    def test_equal_level_tie_goes_to_first_in_pre_order(self):
+        leaves = [
+            SceneNode(node_id=k, shot_index=k, level=0, representative_frame=k)
+            for k in range(4)
+        ]
+        left = SceneNode(node_id=4, shot_index=0, level=1, representative_frame=7)
+        right = SceneNode(node_id=5, shot_index=2, level=1, representative_frame=7)
+        root = SceneNode(node_id=6, shot_index=1, level=2, representative_frame=1)
+        for leaf in leaves[:2]:
+            leaf.attach_to(left)
+        for leaf in leaves[2:]:
+            leaf.attach_to(right)
+        left.attach_to(root)
+        right.attach_to(root)
+        tree = SceneTree(root=root, leaves=leaves, clip_name="tie")
+        assert tree.largest_scene_with_representative(7) is left
+        assert tree.largest_scene_with_representative(1) is root
+        assert tree.largest_scene_with_representative(3) is leaves[3]
+
+    @pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.name)
+    def test_golden_corpus(self, spec):
+        db = VideoDatabase()
+        db.ingest(build_clip(spec))
+        tree = db.scene_tree(spec.name)
+        frames = {node.representative_frame for node in tree.nodes()}
+        for frame in frames | {-1, 10_000}:
+            assert tree.largest_scene_with_representative(frame) is _scan_largest(
+                tree, frame
+            )
+        matches = db.index.entries_for(spec.name)
+        assert matches, "golden clip indexed no shots"
+        routes = route_to_scene_nodes(matches, db.trees)
+        assert all(route.node is not None for route in routes)
+        assert [route.node for route in routes] == [
+            _scan_route(entry, db.trees) for entry in matches
+        ]
 
 
 class TestNaNGuard:

@@ -79,6 +79,38 @@ class TestRoundtrip:
         reloaded.save(tmp_path / "again.bin")
         assert (tmp_path / "again.bin").read_bytes() == data
 
+    def test_tables_compacted_in_first_appearance_order(self):
+        """Only codes still in use are written, renumbered in the order
+        they first appear in ``D^v`` order — checked against a per-row
+        loop, the serializer's original formulation."""
+        index = ColumnarVarianceIndex(_entries(4, n=80))
+        # Interned last but first in D^v order (and still pending).
+        index.insert(
+            IndexEntry(
+                video_id="early",
+                shot_number=1,
+                start_frame=1,
+                end_frame=9,
+                features=FeatureVector(var_ba=0.0, var_oa=1e4),  # D^v = -100
+                archetype="first-seen",
+            )
+        )
+        index.remove_video("clip-β")  # leaves a dead code in each table
+        _, videos, archetypes, cols = ColumnarVarianceIndex._parse_binary(
+            index.to_bytes()
+        )
+        vid_map: dict[str, int] = {}
+        arch_map: dict[str | None, int] = {None: -1}
+        for entry in index.entries:
+            vid_map.setdefault(entry.video_id, len(vid_map))
+            arch_map.setdefault(entry.archetype, len(arch_map) - 1)
+        assert videos == list(vid_map)
+        assert archetypes == [a for a in arch_map if a is not None]
+        assert cols["video_idx"].tolist() == [vid_map[e.video_id] for e in index.entries]
+        assert cols["archetype_idx"].tolist() == [
+            arch_map[e.archetype] for e in index.entries
+        ]
+
     def test_empty_index_roundtrip(self):
         data = ColumnarVarianceIndex().to_bytes()
         reloaded = ColumnarVarianceIndex.from_bytes(data)

@@ -256,6 +256,9 @@ class TestHTTPTracing:
         status, payload = _get(f"{base}/metrics")
         assert status == 200
         assert "tracing" in payload and "stages" in payload
+        # Job status polls are not traced either.
+        status, _ = _get(f"{base}/jobs")
+        assert status == 200
         # Observability routes don't trace themselves.
         assert engine.traces.stats()["recorded"] == before
         # A query without the header is traced but not echoed.

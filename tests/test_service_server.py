@@ -1,16 +1,23 @@
 """Integration tests for the HTTP service: endpoints, concurrency,
 cache invalidation under live traffic, and the loadgen round trip."""
 
+import http.client
+import io
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
+from repro.errors import ServiceOverloadError, ServiceUnavailableError
 from repro.service.engine import ServiceEngine
 from repro.service.loadgen import LoadgenConfig, run_loadgen
-from repro.service.server import create_server
+from repro.service.server import ServiceRequestHandler, create_server
 
 
 def _request(base_url, method, path, body=None, timeout=30.0):
@@ -196,6 +203,167 @@ class TestConcurrentIngestAndQuery:
             match["video_id"] == "concurrent-clip" for match in after["matches"]
         )
         assert engine.cache.stats()["invalidations"] >= 1
+
+
+class _RecordingSocket:
+    """A socket stand-in: serves one raw request, records every write."""
+
+    def __init__(self, raw):
+        self._raw = raw
+        self.writes = []
+        self.options = []
+
+    def makefile(self, mode, buffering=-1):
+        return io.BytesIO(self._raw)
+
+    def setsockopt(self, level, option, value):
+        self.options.append((level, option, value))
+
+    def settimeout(self, timeout):
+        pass
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+
+def _serve_raw(engine, raw, max_body_bytes=1024):
+    """Run the handler on one raw request; returns the recording socket."""
+    sock = _RecordingSocket(raw)
+    server = SimpleNamespace(engine=engine, max_body_bytes=max_body_bytes)
+    ServiceRequestHandler(sock, ("127.0.0.1", 0), server)
+    return sock
+
+
+def _post(path, body, content_length=None):
+    data = json.dumps(body).encode("utf-8")
+    length = len(data) if content_length is None else content_length
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode("ascii") + data
+
+
+def _parse(write):
+    head, _, body = write.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines)
+    return int(status_line.split()[1]), headers, body
+
+
+class TestOneWritePerResponse:
+    """Each response reaches the socket in exactly one write, so no part
+    of it waits behind Nagle's algorithm for the client's delayed ACK."""
+
+    def _one_response(self, engine, raw, **kwargs):
+        sock = _serve_raw(engine, raw, **kwargs)
+        assert len(sock.writes) == 1, sock.writes
+        status, headers, body = _parse(sock.writes[0])
+        assert int(headers["Content-Length"]) == len(body)
+        assert (socket.IPPROTO_TCP, socket.TCP_NODELAY, True) in sock.options
+        return status, headers, json.loads(body)
+
+    def test_200(self, service):
+        engine, _ = service
+        status, headers, payload = self._one_response(
+            engine, b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n"
+        )
+        assert status == 200 and payload["status"] == "ok"
+        assert "Connection" not in headers  # the connection stays open
+
+    def test_http09_request_gets_the_bare_body(self, service):
+        engine, _ = service
+        sock = _serve_raw(engine, b"GET /health\r\n")
+        assert len(sock.writes) == 1
+        assert json.loads(sock.writes[0])["status"] == "ok"
+
+    def test_202(self, service):
+        engine, _ = service
+        status, _, payload = self._one_response(
+            engine, _post("/ingest", _synthetic_spec("one-write-clip", seed=5))
+        )
+        assert status == 202 and payload["job_id"]
+        engine.wait_for(payload["job_id"], 60)
+
+    def test_404(self, service):
+        engine, _ = service
+        status, _, payload = self._one_response(
+            engine, b"GET /no/such/route HTTP/1.1\r\nHost: t\r\n\r\n"
+        )
+        assert status == 404 and "error" in payload
+
+    def test_400(self, service):
+        engine, _ = service
+        status, _, _ = self._one_response(engine, _post("/query", {"var_ba": 1.0}))
+        assert status == 400
+
+    def test_413_closes_the_connection(self, service):
+        engine, _ = service
+        status, headers, payload = self._one_response(
+            engine, _post("/query", {}, content_length=4096), max_body_bytes=1024
+        )
+        assert status == 413 and payload["reason"] == "body_too_large"
+        assert headers["Connection"] == "close"
+
+    def test_429_with_retry_after(self, service, monkeypatch):
+        engine, _ = service
+
+        def full(spec):
+            raise ServiceOverloadError("ingest queue full", retry_after=2.0)
+
+        monkeypatch.setattr(engine, "submit_spec", full)
+        status, headers, payload = self._one_response(
+            engine, _post("/ingest", _synthetic_spec("never"))
+        )
+        assert status == 429 and payload["reason"] == "overloaded"
+        assert headers["Retry-After"] == "2"
+
+    def test_503_with_retry_after(self, service, monkeypatch):
+        engine, _ = service
+
+        def draining(**kwargs):
+            raise ServiceUnavailableError("draining", retry_after=3.0)
+
+        monkeypatch.setattr(engine, "query", draining)
+        status, headers, payload = self._one_response(
+            engine, _post("/query", {"var_ba": 1.0, "var_oa": 1.0})
+        )
+        assert status == 503 and payload["reason"] == "draining"
+        assert headers["Retry-After"] == "3"
+
+
+class TestKeepAliveLatency:
+    def test_sequential_requests_on_one_connection(self, service):
+        """30 mixed requests on one keep-alive connection.  A per-request
+        delayed-ACK stall would put the median near 40 ms."""
+        _, base_url = service
+        host, port = base_url.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            conn.request(
+                "POST", "/ingest", body=json.dumps(_synthetic_spec("keepalive-clip", seed=3))
+            )
+            response = conn.getresponse()
+            job_id = json.loads(response.read())["job_id"]
+            sock = conn.sock
+            paths = ["/query", "/videos/seed-clip/tree", f"/jobs/{job_id}", "/videos/nope/tree"]
+            latencies, statuses = [], []
+            for k in range(30):
+                path = paths[k % len(paths)]
+                method, body = "GET", None
+                if path == "/query":  # distinct points: no cache hits
+                    method = "POST"
+                    body = json.dumps({"var_ba": float(k), "var_oa": k / 2, "limit": 5})
+                started = time.perf_counter()
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - started)
+                statuses.append(response.status)
+                assert conn.sock is sock, "the server closed the keep-alive connection"
+        finally:
+            conn.close()
+        assert set(statuses) == {200, 404}
+        assert statistics.median(latencies) < 0.015, latencies
 
 
 class TestLoadgenRoundTrip:

@@ -161,9 +161,27 @@ class TestVideoDatabase:
         session = db.browse("figure5")
         assert session.current is db.scene_tree("figure5").root
 
-    def test_shots_accessor(self, db):
+    def test_shots_accessor(self, db, figure5_detection):
         shots = db.shots("figure5")
         assert len(shots) == 10
+        assert shots == figure5_detection.shots
+
+    def test_shots_identical_after_durable_reopen(self, figure5, friends, tmp_path):
+        """shots() is served from the index, so a reopened store answers
+        exactly as the process that ran the ingest did."""
+        db = VideoDatabase.open(tmp_path / "vdb")
+        db.ingest(figure5[0])
+        db.ingest(friends[0])
+        before = {video_id: db.shots(video_id) for video_id in db.catalog.ids()}
+        assert [len(shots) for shots in before.values()] == [10, 12]
+        reopened = VideoDatabase.open(tmp_path / "vdb")
+        assert {v: reopened.shots(v) for v in reopened.catalog.ids()} == before
+        assert reopened.detections == {}  # per-ingest reports are not persisted
+
+    def test_ingest_keeps_no_per_frame_features(self, db):
+        report = db.detections["figure5"]
+        assert report.stage_counts.total_pairs == 624
+        assert not hasattr(report, "features")
 
     def test_unknown_video_accessors(self, db):
         with pytest.raises(CatalogError):
